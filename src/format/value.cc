@@ -1,6 +1,7 @@
 #include "value.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace fusion::format {
 
@@ -58,9 +59,16 @@ Value::toString() const
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(std::get<int64_t>(v_)));
         return buf;
-      case 2:
-        std::snprintf(buf, sizeof(buf), "%g", std::get<double>(v_));
+      case 2: {
+        // Shortest form that parses back to the same double: the text
+        // keys memo caches and pushdown share keys, so two literals
+        // that differ in any bit must never print alike.
+        const double d = std::get<double>(v_);
+        std::snprintf(buf, sizeof(buf), "%.15g", d);
+        if (std::strtod(buf, nullptr) != d)
+            std::snprintf(buf, sizeof(buf), "%.17g", d);
         return buf;
+      }
       default:
         return std::get<std::string>(v_);
     }

@@ -513,78 +513,13 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
 }
 
 void
-SharedScanScheduler::startQuery(const std::shared_ptr<PendingQuery> &pq)
-{
-    sim::Cluster &cluster = store_.cluster();
-    obs::Tracer &tracer = store_.obs().tracer;
-    sim::StorageNode *client = &cluster.client();
-    sim::StorageNode *coord = &cluster.node(pq->plan->coordinatorId);
-
-    pq->spans[0] = tracer.beginSpan(
-        "query",
-        "\"seq\": " + std::to_string(pq->seq) +
-            ", \"tag\": " + std::to_string(pq->handle->tag) +
-            ", \"filter_tasks\": " +
-            std::to_string(pq->plan->filterTasks.size()) +
-            ", \"projection_tasks\": " +
-            std::to_string(pq->plan->projectionTasks.size()));
-
-    auto finish = [this, pq, client, coord]() {
-        store_.obs().tracer.endSpan(pq->spans[2]);
-        store_.cluster().transfer(*coord, *client,
-                                  pq->plan->clientReplyBytes,
-                                  [this, pq]() { complete(pq); });
-    };
-
-    auto projection_stage = [this, pq, coord, finish]() {
-        obs::Tracer &t = store_.obs().tracer;
-        t.endSpan(pq->spans[1]);
-        pq->spans[2] = t.beginSpan("projection_stage");
-        coord->cpu().acquire(
-            pq->plan->interStageCoordWork, [this, pq, finish]() {
-                auto join = std::make_shared<sim::Join>(
-                    pq->plan->projectionTasks.size(), finish);
-                for (size_t ti = 0;
-                     ti < pq->plan->projectionTasks.size(); ++ti)
-                    demand(pq, true, ti, join);
-            });
-    };
-
-    auto filter_stage = [this, pq, projection_stage]() {
-        pq->spans[1] = store_.obs().tracer.beginSpan("filter_stage");
-        auto join = std::make_shared<sim::Join>(
-            pq->plan->filterTasks.size(), projection_stage);
-        for (size_t ti = 0; ti < pq->plan->filterTasks.size(); ++ti)
-            demand(pq, false, ti, join);
-    };
-
-    auto start_plan = [this, pq, filter_stage]() {
-        if (pq->plan->extraLatencySeconds > 0.0)
-            store_.cluster().engine().schedule(
-                pq->plan->extraLatencySeconds, filter_stage);
-        else
-            filter_stage();
-    };
-
-    cluster.transfer(*client, *coord, store_.options().clientRequestBytes,
-                     start_plan);
-}
-
-void
 SharedScanScheduler::complete(const std::shared_ptr<PendingQuery> &pq)
 {
-    sim::Cluster &cluster = store_.cluster();
-    QueryPlan &plan = *pq->plan;
-    plan.outcome.latencySeconds =
-        cluster.engine().now() - pq->submitSeconds;
-    store_.recordQueryLatency(cluster.engine().now(),
-                              plan.outcome.latencySeconds);
-    store_.accountClientExchange(plan.clientReplyBytes, plan.outcome);
-
     // Re-attach the amended EXPLAIN report. All of this query's chunk
     // groups are sealed by now, so the overrides are final.
-    if (!pq->overrides.empty() && plan.outcome.explain != nullptr) {
-        obs::QueryExplain amended = *plan.outcome.explain;
+    QueryOutcome &outcome = pq->plan->outcome;
+    if (!pq->overrides.empty() && outcome.explain != nullptr) {
+        obs::QueryExplain amended = *outcome.explain;
         for (auto &pc : amended.projections) {
             auto it = pq->overrides.find(pc.chunkId);
             if (it == pq->overrides.end())
@@ -592,16 +527,14 @@ SharedScanScheduler::complete(const std::shared_ptr<PendingQuery> &pq)
             pc.verdict = it->second.first;
             pc.reason = it->second.second;
         }
-        plan.outcome.explain =
+        outcome.explain =
             std::make_shared<const obs::QueryExplain>(std::move(amended));
     }
 
-    store_.obs().tracer.endSpan(pq->spans[0]);
-
     QueryHandle *h = pq->handle;
-    h->outcome_ = plan.outcome;
+    h->outcome_ = outcome;
     h->status_ = Status::ok();
-    h->doneSeconds_ = cluster.engine().now();
+    h->doneSeconds_ = store_.cluster().engine().now();
     h->state_ = QueryHandle::State::kDone;
     lastDoneSeconds_ = h->doneSeconds_;
     completed_.push_back(h);
@@ -614,8 +547,13 @@ SharedScanScheduler::startPending()
     while (!startQueue_.empty()) {
         auto pq = std::move(startQueue_.front());
         startQueue_.pop_front();
-        pq->started = true;
-        startQuery(pq);
+        store_.runPlan(
+            pq->plan, pq->submitSeconds,
+            [this, pq](bool projection, size_t ti,
+                       const std::shared_ptr<sim::Join> &join) {
+                demand(pq, projection, ti, join);
+            },
+            [this, pq]() { complete(pq); });
     }
 }
 

@@ -174,9 +174,10 @@ class QueryHandle
 /**
  * Streams concurrent queries against one store through a continuous
  * admission window of deduplicated pushdown requests. The scheduler
- * owns no store state; it composes the store's public
- * planQueryForBatch / executeTask / accountTask hooks, so per-query
- * results are bit-identical to isolated execution.
+ * owns no store state: every query runs on the store's one stage
+ * driver (ObjectStore::runPlan), the same flow queryAsync uses, with
+ * the window's demand() as the per-task hook. Per-query results are
+ * bit-identical to isolated execution.
  */
 class SharedScanScheduler
 {
@@ -270,7 +271,6 @@ class SharedScanScheduler
         QueryHandle *handle = nullptr;
         uint64_t seq = 0;
         double submitSeconds = 0.0;
-        bool started = false;
         std::shared_ptr<QueryPlan> plan;
         /** Window attachment per task (null = unkeyed, runs alone). */
         std::vector<std::shared_ptr<ExecEntry>> filterEntries;
@@ -278,7 +278,6 @@ class SharedScanScheduler
         /** EXPLAIN amendments: chunkId -> (verdict, reason). */
         std::map<uint32_t, std::pair<const char *, const char *>>
             overrides;
-        uint64_t spans[3] = {0, 0, 0}; // query / filter / projection
     };
 
     /** A consumer attached to a chunk's merge group. */
@@ -331,13 +330,15 @@ class SharedScanScheduler
     /** Refunds a completed entry's admitted pushdown load. */
     void releaseEntryLoad(ExecEntry &entry);
 
-    /** Starts the DES flow of every admitted-but-unstarted query. */
+    /** Starts every admitted-but-unstarted query on the store's stage
+     *  driver (ObjectStore::runPlan), with demand() as its task hook. */
     void startPending();
-    void startQuery(const std::shared_ptr<PendingQuery> &pq);
-    /** Demands one task's execution: issue, or absorb into the shared
-     *  in-flight run the consumer attached to. */
+    /** The stage driver's demand hook: issues one task, or absorbs it
+     *  into the shared in-flight run the consumer attached to. */
     void demand(const std::shared_ptr<PendingQuery> &pq, bool projection,
                 size_t ti, const std::shared_ptr<sim::Join> &join);
+    /** The stage driver's completion: EXPLAIN amendments and handle
+     *  bookkeeping. */
     void complete(const std::shared_ptr<PendingQuery> &pq);
 
     store::ObjectStore &store_;

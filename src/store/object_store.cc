@@ -119,42 +119,6 @@ ObjectStore::~ObjectStore()
     cluster_.removeFaultListener(faultListenerId_);
 }
 
-void
-ObjectStore::recordQueryLatency(double now_seconds,
-                                double latency_seconds)
-{
-    ins_.queryLatency->observe(latency_seconds);
-    obs_.telemetry.window("query.latency_seconds")
-        .observe(now_seconds, latency_seconds);
-    obs_.telemetry.flight().record(
-        now_seconds, "query",
-        "\"latency_seconds\": " + obs::formatDouble(latency_seconds));
-}
-
-ObjectStore::FaultStats
-ObjectStore::faultStats() const
-{
-    FaultStats out;
-    out.readRetries = ins_.readRetries->value();
-    out.readTimeouts = ins_.readTimeouts->value();
-    out.parityReconstructions = ins_.parityReconstructions->value();
-    out.degradedChunkReads = ins_.degradedChunkReads->value();
-    out.pushdownFallbacks = ins_.pushdownFallbacks->value();
-    out.backoffSeconds = ins_.backoffSeconds->value();
-    return out;
-}
-
-void
-ObjectStore::resetFaultStats()
-{
-    ins_.readRetries->reset();
-    ins_.readTimeouts->reset();
-    ins_.parityReconstructions->reset();
-    ins_.degradedChunkReads->reset();
-    ins_.pushdownFallbacks->reset();
-    ins_.backoffSeconds->reset();
-}
-
 bool
 ObjectStore::contains(const std::string &name) const
 {
@@ -304,7 +268,6 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
     FUSION_RETURN_IF_ERROR(manifest.layout.validate(manifest.extents));
 
     // Place each stripe on n distinct random nodes (paper §4.2).
-    std::vector<uint64_t> node_bytes(cluster_.numNodes(), 0);
     for (size_t s = 0; s < manifest.layout.stripes.size(); ++s)
         manifest.stripeNodes.push_back(cluster_.chooseNodes(options_.n));
 
@@ -351,10 +314,8 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
             Bytes &bytes = stripe_blocks[s][b];
             if (bytes.empty())
                 continue; // implicit zero block
-            size_t node_id = manifest.stripeNodes[s][b];
-            node_bytes[node_id] += bytes.size();
-            cluster_.node(node_id).putBlock(manifest.blockKey(s, b),
-                                            std::move(bytes));
+            cluster_.node(manifest.stripeNodes[s][b])
+                .putBlock(manifest.blockKey(s, b), std::move(bytes));
         }
     }
     manifest.buildLocationMap();
@@ -375,24 +336,6 @@ ObjectStore::buildStoredObject(const std::string &name, const Bytes &object,
         return total ? static_cast<double>(split) / total : 0.0;
     }();
     result.layoutSeconds = layout_seconds;
-
-    // Analytic put-time model: client uploads to the coordinator, which
-    // streams blocks to nodes in parallel; the slowest node bounds it.
-    const sim::NodeConfig &nc = cluster_.config().node;
-    double client_transfer = static_cast<double>(manifest.objectSize) /
-                                 nc.nicBandwidth +
-                             nc.rpcLatency;
-    double slowest_node = 0.0;
-    for (uint64_t bytes : node_bytes) {
-        double t = static_cast<double>(bytes) / nc.nicBandwidth +
-                   static_cast<double>(bytes) / nc.diskBandwidth;
-        slowest_node = std::max(slowest_node, t);
-    }
-    // Simulated time must stay reproducible, so the wall-clock layout
-    // measurement is reported separately (layoutSeconds) and never
-    // added here — mixing it in would make put timings (and anything
-    // downstream of them) vary run to run with machine load.
-    result.simulatedPutSeconds = client_transfer + slowest_node;
 
     StoredObject out;
     out.manifest = std::move(manifest);
@@ -416,7 +359,9 @@ ObjectStore::putAsync(const std::string &name, Bytes object,
     const ObjectManifest &manifest = manifests_.at(name);
 
     // Per-node bytes this put wrote (data at true size, parity full).
-    std::vector<uint64_t> node_bytes(cluster_.numNodes(), 0);
+    std::vector<std::pair<size_t, uint64_t>> targets(cluster_.numNodes());
+    for (size_t node_id = 0; node_id < targets.size(); ++node_id)
+        targets[node_id].first = node_id;
     for (size_t s = 0; s < manifest.layout.stripes.size(); ++s) {
         const fac::StripeLayout &stripe = manifest.layout.stripes[s];
         for (size_t b = 0; b < options_.n; ++b) {
@@ -425,28 +370,35 @@ ObjectStore::putAsync(const std::string &name, Bytes object,
                                        ? stripe.dataBlocks[b].size()
                                        : 0)
                                 : stripe.blockSize();
-            node_bytes[manifest.stripeNodes[s][b]] += size;
+            targets[manifest.stripeNodes[s][b]].second += size;
         }
     }
 
-    sim::StorageNode *client = &cluster_.client();
-    sim::StorageNode *coord = &cluster_.node(cluster_.coordinatorFor(name));
     const double start = cluster_.engine().now();
-    const double seek = cluster_.config().node.diskSeekLatency;
-
     auto shared = std::make_shared<PutResult>(std::move(result.value()));
-    auto stream_blocks = [this, shared, node_bytes, coord, seek, start,
-                          put_span, done = std::move(done)]() mutable {
-        auto join = std::make_shared<sim::Join>(
-            node_bytes.size(),
-            [this, shared, start, put_span, done = std::move(done)]() {
-                shared->simulatedPutSeconds =
-                    cluster_.engine().now() - start;
-                obs_.tracer.endSpan(put_span);
-                done(*shared);
-            });
-        for (size_t node_id = 0; node_id < node_bytes.size(); ++node_id) {
-            uint64_t bytes = node_bytes[node_id];
+    writeThroughCoordinator(
+        cluster_.coordinatorFor(name), shared->objectBytes,
+        std::move(targets),
+        [this, shared, start, put_span, done = std::move(done)]() {
+            shared->simulatedPutSeconds = cluster_.engine().now() - start;
+            obs_.tracer.endSpan(put_span);
+            done(*shared);
+        });
+}
+
+void
+ObjectStore::writeThroughCoordinator(
+    size_t coordinator, uint64_t upload_bytes,
+    std::vector<std::pair<size_t, uint64_t>> targets,
+    std::function<void()> done)
+{
+    sim::StorageNode *coord = &cluster_.node(coordinator);
+    const double seek = cluster_.config().node.diskSeekLatency;
+    auto fan_out = [this, coord, seek, targets = std::move(targets),
+                    done = std::move(done)]() mutable {
+        auto join = std::make_shared<sim::Join>(targets.size(),
+                                                std::move(done));
+        for (const auto &[node_id, bytes] : targets) {
             sim::StorageNode *node = &cluster_.node(node_id);
             if (bytes == 0 || node == coord) {
                 // Local blocks skip the network but still hit the disk.
@@ -456,15 +408,15 @@ ObjectStore::putAsync(const std::string &name, Bytes object,
                 continue;
             }
             cluster_.transfer(*coord, *node, bytes,
-                              [node, bytes, seek, join]() {
+                              [node, bytes = bytes, seek, join]() {
                                   node->disk().acquire(
                                       static_cast<double>(bytes), seek,
                                       [join]() { join->signal(); });
                               });
         }
     };
-    cluster_.transfer(*client, *coord, shared->objectBytes,
-                      std::move(stream_blocks));
+    cluster_.transfer(cluster_.client(), *coord, upload_bytes,
+                      std::move(fan_out));
 }
 
 // ---- object lifecycle (src/lifecycle/) ----
@@ -527,15 +479,6 @@ ObjectStore::append(const std::string &name, const format::Table &rows)
     result.segmentBytes = segment.bytes;
     result.replicas = replicas;
 
-    // Analytic ingest model: client uploads to the coordinator, which
-    // replicates in parallel; one replica's NIC + disk path bounds it.
-    const sim::NodeConfig &nc = cluster_.config().node;
-    result.simulatedAppendSeconds =
-        static_cast<double>(segment.bytes) / nc.nicBandwidth +
-        nc.rpcLatency +
-        static_cast<double>(segment.bytes) / nc.nicBandwidth +
-        static_cast<double>(segment.bytes) / nc.diskBandwidth;
-
     result.seq = log.append(std::move(segment));
     ins_.appendAppends->add(1);
     ins_.appendRows->add(result.rows);
@@ -557,43 +500,21 @@ ObjectStore::appendAsync(const std::string &name, const format::Table &rows,
         done(result.status());
         return;
     }
-    auto shared = std::make_shared<AppendResult>(result.value());
     const lifecycle::DeltaSegment &segment =
         deltaLogs_.at(name).segments().back();
-    const std::vector<size_t> replicas = segment.replicaNodes;
-    const uint64_t bytes = segment.bytes;
+    std::vector<std::pair<size_t, uint64_t>> targets;
+    for (size_t node_id : segment.replicaNodes)
+        targets.emplace_back(node_id, segment.bytes);
 
-    sim::StorageNode *client = &cluster_.client();
-    sim::StorageNode *coord = &cluster_.node(cluster_.coordinatorFor(name));
     const double start = cluster_.engine().now();
-    const double seek = cluster_.config().node.diskSeekLatency;
-
-    auto stream = [this, shared, replicas, coord, bytes, seek, start, span,
-                   done = std::move(done)]() mutable {
-        auto join = std::make_shared<sim::Join>(
-            replicas.size(),
-            [this, shared, start, span, done = std::move(done)]() {
-                shared->simulatedAppendSeconds =
-                    cluster_.engine().now() - start;
-                obs_.tracer.endSpan(span);
-                done(*shared);
-            });
-        for (size_t node_id : replicas) {
-            sim::StorageNode *node = &cluster_.node(node_id);
-            if (node == coord) {
-                node->disk().acquire(static_cast<double>(bytes), seek,
-                                     [join]() { join->signal(); });
-                continue;
-            }
-            cluster_.transfer(*coord, *node, bytes,
-                              [node, bytes, seek, join]() {
-                                  node->disk().acquire(
-                                      static_cast<double>(bytes), seek,
-                                      [join]() { join->signal(); });
-                              });
-        }
-    };
-    cluster_.transfer(*client, *coord, bytes, std::move(stream));
+    auto shared = std::make_shared<AppendResult>(result.value());
+    writeThroughCoordinator(
+        cluster_.coordinatorFor(name), segment.bytes, std::move(targets),
+        [this, shared, start, span, done = std::move(done)]() {
+            shared->simulatedAppendSeconds = cluster_.engine().now() - start;
+            obs_.tracer.endSpan(span);
+            done(*shared);
+        });
 }
 
 const lifecycle::DeltaLog *
@@ -1461,9 +1382,11 @@ ObjectStore::prefetchDecodedChunks(
     });
 
     // Phase 3 (serial): surface errors in index order, fill the cache.
+    // Each fill is a memo miss, exactly as in decodedChunk().
     for (size_t i = 0; i < todo.size(); ++i) {
         if (!decoded[i].isOk())
             return decoded[i].status();
+        ins_.cacheDecodeMiss->add(1);
         uint32_t chunk_id =
             manifest.chunkIdFor(todo[i].first, todo[i].second);
         decodeCache_.emplace(
@@ -1552,6 +1475,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     for (auto &task : bitmap_tasks) {
         if (!task.result.isOk())
             return task.result.status();
+        ins_.cacheBitmapMiss->add(1); // a fill, as in chunkFilterBitmap()
         bitmapCache_.emplace(std::move(task.key),
                              std::make_shared<const query::Bitmap>(
                                  std::move(task.result.value())));
@@ -1660,14 +1584,6 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     auto shared = std::make_shared<const DataPlane>(std::move(plane));
     planCache_.emplace(std::move(cache_key), shared);
     return *shared;
-}
-
-bool
-ObjectStore::chunkIntactOnSingleNode(const ObjectManifest &manifest,
-                                     uint32_t chunk_id) const
-{
-    return chunkPushdownState(manifest, chunk_id) ==
-           ChunkPushdownState::kPushable;
 }
 
 ObjectStore::ChunkPushdownState
@@ -1785,12 +1701,10 @@ ObjectStore::admitChunkToCache(const std::string &object, uint32_t chunk_id)
 
 uint64_t
 ObjectStore::appendChunkFetchTasks(const ObjectManifest &manifest,
-                                   uint32_t chunk_id, size_t coordinator,
-                                   double coord_cpu_work,
+                                   uint32_t chunk_id, double coord_cpu_work,
                                    std::vector<SimTask> &tasks)
 {
     uint64_t total = 0;
-    size_t first_new = tasks.size();
     std::set<std::pair<size_t, size_t>> degraded_stripes;
     obs_.telemetry.heat().recordAccess(cluster_.engine().now(),
                                        manifest.shareName(), chunk_id);
@@ -1848,11 +1762,8 @@ ObjectStore::appendChunkFetchTasks(const ObjectManifest &manifest,
             static_cast<double>(ls.blockSize()) * options_.k;
     }
 
-    if (tasks.size() > first_new)
+    if (!tasks.empty())
         tasks.back().coordCpuWork += coord_cpu_work;
-    else if (coord_cpu_work > 0 && !tasks.empty())
-        tasks.back().coordCpuWork += coord_cpu_work;
-    (void)coordinator;
     return total;
 }
 
@@ -1882,20 +1793,6 @@ ObjectStore::accountTask(const SimTask &task, size_t coordinator,
     out.cpuSeconds += (task.nodeCpuWork + task.coordCpuWork) / nc.cpuRate;
 }
 
-void
-ObjectStore::accountClientExchange(uint64_t reply_bytes,
-                                   QueryOutcome &out) const
-{
-    const sim::NodeConfig &nc = cluster_.config().node;
-    out.networkBytes += options_.clientRequestBytes + reply_bytes;
-    out.networkSeconds +=
-        static_cast<double>(options_.clientRequestBytes + reply_bytes) /
-            nc.nicBandwidth +
-        2 * nc.rpcLatency;
-    ins_.wireClientRequest->add(options_.clientRequestBytes);
-    ins_.wireClientReply->add(reply_bytes);
-}
-
 ObjectStore::SimTask
 ObjectStore::makeSharedFetchTask(const SimTask &pushdown) const
 {
@@ -1922,19 +1819,6 @@ ObjectStore::makeSharedFetchTask(const SimTask &pushdown) const
     fetch.fetchDecodeWork = pushdown.fetchDecodeWork;
     fetch.consumerSelectWork = pushdown.consumerSelectWork;
     return fetch;
-}
-
-void
-ObjectStore::accountPlanResources(QueryPlan &plan) const
-{
-    QueryOutcome &out = plan.outcome;
-    for (const auto &task : plan.filterTasks)
-        accountTask(task, plan.coordinatorId, false, out);
-    for (const auto &task : plan.projectionTasks)
-        accountTask(task, plan.coordinatorId, true, out);
-    out.cpuSeconds +=
-        plan.interStageCoordWork / cluster_.config().node.cpuRate;
-    accountClientExchange(plan.clientReplyBytes, out);
 }
 
 void
@@ -1988,14 +1872,11 @@ ObjectStore::executeTask(const SimTask &task, size_t coordinator,
 }
 
 void
-ObjectStore::simulateQuery(std::shared_ptr<QueryPlan> plan,
-                           std::function<void(Result<QueryOutcome>)> done)
+ObjectStore::runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
+                     TaskDemand demand, std::function<void()> done)
 {
-    accountPlanResources(*plan);
-
     sim::StorageNode *client = &cluster_.client();
     sim::StorageNode *coord = &cluster_.node(plan->coordinatorId);
-    const double start = cluster_.engine().now();
 
     // Stage span ids cross several DES callbacks; the array outlives
     // this frame via shared_ptr. [0]=query, [1]=filter, [2]=projection.
@@ -2006,38 +1887,61 @@ ObjectStore::simulateQuery(std::shared_ptr<QueryPlan> plan,
                      ", \"projection_tasks\": " +
                      std::to_string(plan->projectionTasks.size()));
 
-    auto finish = [this, plan, done, client, coord, start, spans]() {
-        obs_.tracer.endSpan((*spans)[2]);
-        cluster_.transfer(*coord, *client, plan->clientReplyBytes,
-                          [this, plan, done, start, spans]() {
-                              plan->outcome.latencySeconds =
-                                  cluster_.engine().now() - start;
-                              recordQueryLatency(
-                                  cluster_.engine().now(),
-                                  plan->outcome.latencySeconds);
-                              obs_.tracer.endSpan((*spans)[0]);
-                              done(plan->outcome);
-                          });
+    auto reply = [this, plan, submit_seconds, spans,
+                  done = std::move(done)]() {
+        const double now = cluster_.engine().now();
+        QueryOutcome &out = plan->outcome;
+        out.latencySeconds = now - submit_seconds;
+        ins_.queryLatency->observe(out.latencySeconds);
+        obs_.telemetry.window("query.latency_seconds")
+            .observe(now, out.latencySeconds);
+        obs_.telemetry.flight().record(
+            now, "query",
+            "\"latency_seconds\": " +
+                obs::formatDouble(out.latencySeconds));
+
+        const sim::NodeConfig &nc = cluster_.config().node;
+        const uint64_t bytes =
+            options_.clientRequestBytes + plan->clientReplyBytes;
+        out.networkBytes += bytes;
+        out.networkSeconds +=
+            static_cast<double>(bytes) / nc.nicBandwidth + 2 * nc.rpcLatency;
+        ins_.wireClientRequest->add(options_.clientRequestBytes);
+        ins_.wireClientReply->add(plan->clientReplyBytes);
+
+        obs_.tracer.endSpan((*spans)[0]);
+        done();
     };
 
-    auto projection_stage = [this, plan, finish, coord, spans]() {
+    auto finish = [this, plan, client, coord, spans, reply]() {
+        obs_.tracer.endSpan((*spans)[2]);
+        cluster_.transfer(*coord, *client, plan->clientReplyBytes, reply);
+    };
+
+    auto projection_stage = [this, plan, demand, finish, coord, spans]() {
         obs_.tracer.endSpan((*spans)[1]);
         (*spans)[2] = obs_.tracer.beginSpan("projection_stage");
         coord->cpu().acquire(
-            plan->interStageCoordWork, [this, plan, finish]() {
+            plan->interStageCoordWork, [this, plan, demand, finish]() {
                 auto join = std::make_shared<sim::Join>(
                     plan->projectionTasks.size(), finish);
-                for (const auto &task : plan->projectionTasks)
-                    executeTask(task, plan->coordinatorId, join);
+                for (size_t ti = 0; ti < plan->projectionTasks.size(); ++ti)
+                    demand(true, ti, join);
+                // Charged after the projection demands: the outcome's
+                // CPU sum keeps the order filter tasks, projection
+                // tasks, inter-stage work.
+                plan->outcome.cpuSeconds +=
+                    plan->interStageCoordWork /
+                    cluster_.config().node.cpuRate;
             });
     };
 
-    auto filter_stage = [this, plan, projection_stage, spans]() {
+    auto filter_stage = [this, plan, demand, projection_stage, spans]() {
         (*spans)[1] = obs_.tracer.beginSpan("filter_stage");
         auto join = std::make_shared<sim::Join>(plan->filterTasks.size(),
                                                 projection_stage);
-        for (const auto &task : plan->filterTasks)
-            executeTask(task, plan->coordinatorId, join);
+        for (size_t ti = 0; ti < plan->filterTasks.size(); ++ti)
+            demand(false, ti, join);
     };
 
     // Retry backoff against faulted nodes delays the whole plan (the
@@ -2066,16 +1970,17 @@ ObjectStore::planQueryForBatch(const query::Query &q)
     auto resolved = resolveQuery(q, m.value()->fileMeta.schema);
     if (!resolved.isOk())
         return resolved.status();
-    FaultStats before = faultStats();
+    const uint64_t reconstructions = ins_.parityReconstructions->value();
+    const uint64_t retries = ins_.readRetries->value();
+    const double backoff = ins_.backoffSeconds->value();
     auto plan = planQuery(*m.value(), resolved.value());
     if (!plan.isOk())
         return plan.status();
-    FaultStats after = faultStats();
     QueryPlan &p = plan.value();
     p.outcome.parityReconstructions =
-        after.parityReconstructions - before.parityReconstructions;
-    p.outcome.readRetries = after.readRetries - before.readRetries;
-    p.extraLatencySeconds = after.backoffSeconds - before.backoffSeconds;
+        ins_.parityReconstructions->value() - reconstructions;
+    p.outcome.readRetries = ins_.readRetries->value() - retries;
+    p.extraLatencySeconds = ins_.backoffSeconds->value() - backoff;
     auto shared = std::make_shared<QueryPlan>(std::move(p));
     // Queries see appended rows immediately: every live delta segment
     // merges on top of the planned base-generation results.
@@ -2093,12 +1998,22 @@ void
 ObjectStore::queryAsync(const query::Query &q,
                         std::function<void(Result<QueryOutcome>)> done)
 {
-    auto plan = planQueryForBatch(q);
-    if (!plan.isOk()) {
-        done(plan.status());
+    auto planned = planQueryForBatch(q);
+    if (!planned.isOk()) {
+        done(planned.status());
         return;
     }
-    simulateQuery(std::move(plan.value()), std::move(done));
+    std::shared_ptr<QueryPlan> plan = std::move(planned.value());
+    runPlan(
+        plan, cluster_.engine().now(),
+        [this, plan](bool projection, size_t ti,
+                     const std::shared_ptr<sim::Join> &join) {
+            const SimTask &task = projection ? plan->projectionTasks[ti]
+                                             : plan->filterTasks[ti];
+            accountTask(task, plan->coordinatorId, projection, plan->outcome);
+            executeTask(task, plan->coordinatorId, join);
+        },
+        [plan, done = std::move(done)]() { done(plan->outcome); });
 }
 
 Result<QueryOutcome>

@@ -16,8 +16,12 @@
  * Query execution is hybrid: results are computed on real bytes (and
  * are identical across stores — asserted in tests), while elapsed time
  * is charged to simulated disk/NIC/CPU resources from the byte counts
- * the plan moves. Repeated identical work is memoized so thousand-query
- * experiments run in seconds.
+ * the plan moves. Every query, isolated (queryAsync) or shared
+ * (sched::SharedScanScheduler), runs on one stage driver, runPlan();
+ * the two differ only in the per-task demand hook. Writes likewise have
+ * one timing model each: the DES fan-out behind putAsync/appendAsync.
+ * Repeated identical work is memoized so thousand-query experiments run
+ * in seconds.
  */
 #ifndef FUSION_STORE_OBJECT_STORE_H
 #define FUSION_STORE_OBJECT_STORE_H
@@ -106,6 +110,8 @@ struct PutResult {
     /** Wall-clock of stripe construction — reporting only; it never
      *  feeds simulated time (which must be reproducible). */
     double layoutSeconds = 0.0;
+    /** Simulated write time, measured by the DES in putAsync(); put()
+     *  runs in one simulated instant and leaves it 0. */
     double simulatedPutSeconds = 0.0;
 };
 
@@ -148,6 +154,8 @@ struct AppendResult {
     uint64_t rows = 0;
     uint64_t segmentBytes = 0; // serialized fpax segment size
     size_t replicas = 0;
+    /** Simulated ingest time, measured by the DES in appendAsync();
+     *  append() runs in one simulated instant and leaves it 0. */
     double simulatedAppendSeconds = 0.0;
 };
 
@@ -169,7 +177,7 @@ class ObjectStore : public lifecycle::CompactionHost
      * uploads to the coordinator, which streams data and parity blocks
      * to their nodes (NIC + disk, queued against any concurrent work).
      * `done` fires in simulated time with simulatedPutSeconds measured
-     * by the DES instead of the analytic model.
+     * by the DES — the only put timing model.
      */
     void putAsync(const std::string &name, Bytes object,
                   std::function<void(Result<PutResult>)> done);
@@ -193,7 +201,7 @@ class ObjectStore : public lifecycle::CompactionHost
      * segment to the coordinator, which streams it to the replicas
      * (NIC + disk, queued against concurrent query traffic). `done`
      * fires in simulated time with simulatedAppendSeconds measured by
-     * the DES.
+     * the DES — the only append timing model.
      */
     void appendAsync(const std::string &name, const format::Table &rows,
                      std::function<void(Result<AppendResult>)> done);
@@ -262,39 +270,12 @@ class ObjectStore : public lifecycle::CompactionHost
     StoreStats stats() const;
 
     /**
-     * Cumulative robustness counters: how often reads hit faulted
-     * nodes and what the recovery machinery did about it. Benches and
-     * tests assert on these (and on their determinism across runs).
-     *
-     * The authoritative values live in this store's metrics registry
-     * under fault.* names; FaultStats is a compatibility view folded
-     * from those counters on demand.
-     */
-    struct FaultStats {
-        uint64_t readRetries = 0;     // backoff retries performed
-        uint64_t readTimeouts = 0;    // reads abandoned after retries
-        uint64_t parityReconstructions = 0; // blocks rebuilt via EC
-        uint64_t degradedChunkReads = 0; // chunk reads needing recovery
-        uint64_t pushdownFallbacks = 0;  // pushdowns moved coordinator-side
-        double backoffSeconds = 0.0;     // total simulated backoff waits
-
-        bool
-        operator==(const FaultStats &other) const
-        {
-            return readRetries == other.readRetries &&
-                   readTimeouts == other.readTimeouts &&
-                   parityReconstructions == other.parityReconstructions &&
-                   degradedChunkReads == other.degradedChunkReads &&
-                   pushdownFallbacks == other.pushdownFallbacks &&
-                   backoffSeconds == other.backoffSeconds;
-        }
-    };
-    FaultStats faultStats() const;
-    void resetFaultStats();
-
-    /**
      * This store's observability bundle: fault/cache/wire metrics, the
-     * simulated-time span tracer and the EXPLAIN toggle. Process-wide
+     * simulated-time span tracer and the EXPLAIN toggle. Robustness
+     * counters live in the registry as fault.read_retries,
+     * fault.read_timeouts, fault.parity_reconstructions,
+     * fault.degraded_chunk_reads, fault.pushdown_fallbacks and the
+     * double counter fault.backoff_seconds. Process-wide
      * instruments (thread pool, EC dispatch) are in
      * obs::MetricsRegistry::global() instead.
      */
@@ -311,8 +292,9 @@ class ObjectStore : public lifecycle::CompactionHost
     void dropCaches();
 
     /**
-     * Executes a query asynchronously in simulated time; `done` fires
-     * when the simulated reply reaches the client. Call
+     * Executes a query asynchronously in simulated time: plans it, then
+     * runs the plan through runPlan() with every task executing alone.
+     * `done` fires when the simulated reply reaches the client. Call
      * cluster().engine().run() to drive the simulation.
      */
     void queryAsync(const query::Query &q,
@@ -393,17 +375,45 @@ class ObjectStore : public lifecycle::CompactionHost
         QueryOutcome outcome;
     };
 
-    // ---- scheduler interface (sched::SharedScanScheduler) ----
+    // ---- query execution (queryAsync and sched::SharedScanScheduler) ----
 
     /**
-     * Resolves and plans a query without simulating it: the batch
-     * scheduler plans every admitted query first, dedups overlapping
-     * tasks across the plans, then drives its own simulation. Fault
-     * deltas observed during planning are folded into the plan exactly
-     * as queryAsync does.
+     * Resolves and plans a query without simulating it. Fault deltas
+     * observed during planning (parity reconstructions, read retries,
+     * backoff waits) are folded into the plan, and live delta-log
+     * segments are merged on top of the base-generation results.
      */
     Result<std::shared_ptr<QueryPlan>>
     planQueryForBatch(const query::Query &q);
+
+    /**
+     * Demands one planned task: filter stage (`projection` false) or
+     * projection stage, index `ti` into that stage's task list. The
+     * hook must account the task into the plan's outcome and signal
+     * `join` exactly once when its work is done in simulated time.
+     */
+    using TaskDemand = std::function<void(
+        bool projection, size_t ti, const std::shared_ptr<sim::Join> &join)>;
+
+    /**
+     * The one simulated-time flow of a planned query (paper §4-5): the
+     * client request reaches the coordinator, any planning backoff
+     * (extraLatencySeconds) elapses, the filter stage demands every
+     * filter task and joins, the coordinator combines bitmaps
+     * (interStageCoordWork), the projection stage demands every
+     * projection task and joins, and the reply travels back to the
+     * client. The driver then sets latencySeconds (from
+     * `submit_seconds`), accounts the client exchange, records the
+     * latency and fires `done`; the plan's outcome is final by then.
+     * It owns the `query`, `filter_stage` and `projection_stage` spans.
+     *
+     * `demand` is the only variation point: queryAsync runs each task
+     * alone (accountTask + executeTask), the shared-scan scheduler
+     * issues or absorbs it through its admission window. An isolated
+     * query is the one-consumer case of the shared engine.
+     */
+    void runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
+                 TaskDemand demand, std::function<void()> done);
 
     /**
      * Executes one planned task in simulated time: request transfer,
@@ -422,10 +432,6 @@ class ObjectStore : public lifecycle::CompactionHost
     void accountTask(const SimTask &task, size_t coordinator,
                      bool projection_stage, QueryOutcome &out) const;
 
-    /** Accounts one query's client request/reply exchange. */
-    void accountClientExchange(uint64_t reply_bytes,
-                               QueryOutcome &out) const;
-
     /**
      * The shared-fetch form of a planned projection pushdown: the
      * compressed chunk crosses the wire once to the coordinator, which
@@ -435,18 +441,6 @@ class ObjectStore : public lifecycle::CompactionHost
      * Cost Equation verdict flips to fetch before its transfer issued.
      */
     SimTask makeSharedFetchTask(const SimTask &pushdown) const;
-
-    /** The store's query-latency histogram (scheduler records into the
-     *  same instrument queryAsync uses). */
-    obs::Histogram &queryLatencyHistogram() { return *ins_.queryLatency; }
-
-    /**
-     * Records one completed query's latency into the histogram, the
-     * "query.latency_seconds" sliding window and (when enabled) the
-     * flight recorder — the single funnel for both the serial path and
-     * the shared-scan scheduler, so windowed rates see every query.
-     */
-    void recordQueryLatency(double now_seconds, double latency_seconds);
 
     /** The coordinator hot-chunk cache (disabled when capacity is 0). */
     cache::ChunkCache &chunkCache() { return chunkCache_; }
@@ -520,10 +514,10 @@ class ObjectStore : public lifecycle::CompactionHost
 
     /**
      * Warms the decode cache for a set of (row group, column) chunks:
-     * raw bytes are fetched serially (degraded reads and FaultStats
-     * stay deterministic), then decompress/decode fans out on the
-     * shared ThreadPool. Results are bit-identical to serial decoding
-     * for any FUSION_THREADS value.
+     * raw bytes are fetched serially (degraded reads and the fault.*
+     * counters stay deterministic), then decompress/decode fans out on
+     * the shared ThreadPool. Results are bit-identical to serial
+     * decoding for any FUSION_THREADS value.
      */
     Status prefetchDecodedChunks(
         const ObjectManifest &manifest,
@@ -563,10 +557,6 @@ class ObjectStore : public lifecycle::CompactionHost
     Result<query::Query> resolveQuery(const query::Query &q,
                                       const format::Schema &schema) const;
 
-    /** True if every piece of the chunk lives on one healthy node. */
-    bool chunkIntactOnSingleNode(const ObjectManifest &manifest,
-                                 uint32_t chunk_id) const;
-
     /** Pushdown eligibility of a chunk under current node health. */
     enum class ChunkPushdownState {
         kPushable, // intact on a single healthy node
@@ -589,7 +579,7 @@ class ObjectStore : public lifecycle::CompactionHost
      * future simulated times (consulting the cluster's fault injector,
      * when armed, so a flapping node can recover mid-retry). Returns
      * nullptr when the block is declared lost — the caller falls back
-     * to parity reconstruction. Counts into faultStats().
+     * to parity reconstruction. Counts into the fault.* metrics.
      */
     const Bytes *fetchBlockWithRetry(const ObjectManifest &manifest,
                                      size_t stripe, size_t block_index);
@@ -623,8 +613,7 @@ class ObjectStore : public lifecycle::CompactionHost
      * k surviving stripe blocks instead). Returns total fetched bytes.
      */
     uint64_t appendChunkFetchTasks(const ObjectManifest &manifest,
-                                   uint32_t chunk_id, size_t coordinator,
-                                   double coord_cpu_work,
+                                   uint32_t chunk_id, double coord_cpu_work,
                                    std::vector<SimTask> &tasks);
 
     // ---- coordinator hot-chunk cache (cache/chunk_cache.h) ----
@@ -658,7 +647,7 @@ class ObjectStore : public lifecycle::CompactionHost
 
     /**
      * Counters resolved once at construction so hot paths (and const
-     * methods like accountPlanResources) skip the registry's name map.
+     * methods like accountTask) skip the registry's name map.
      */
     struct Instruments {
         obs::Counter *readRetries = nullptr;
@@ -710,11 +699,21 @@ class ObjectStore : public lifecycle::CompactionHost
     cache::ChunkCache chunkCache_;
 
   private:
-    void simulateQuery(std::shared_ptr<QueryPlan> plan,
-                       std::function<void(Result<QueryOutcome>)> done);
     Result<Bytes> recoverBlock(const ObjectManifest &manifest,
                                size_t stripe, size_t block_index);
-    void accountPlanResources(QueryPlan &plan) const;
+
+    /**
+     * The write fan-out shared by putAsync and appendAsync: the client
+     * uploads `upload_bytes` to the coordinator, which then writes each
+     * (node, bytes) target in order — a local disk write on the
+     * coordinator itself (or for an empty target), otherwise a transfer
+     * followed by the node's disk write. `done` fires when every
+     * target's write has finished.
+     */
+    void writeThroughCoordinator(
+        size_t coordinator, uint64_t upload_bytes,
+        std::vector<std::pair<size_t, uint64_t>> targets,
+        std::function<void()> done);
 
     // ---- lifecycle internals ----
 

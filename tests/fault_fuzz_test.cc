@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -32,6 +33,15 @@ struct TestRig {
     std::unique_ptr<ObjectStore> store;
     std::unique_ptr<sim::FaultInjector> faults;
 };
+
+/** The store's fault.* metrics: the robustness counters as one
+ *  comparable slice of its registry ('/' sorts right after '.'). */
+std::map<std::string, obs::SnapshotValue>
+faultMetrics(const ObjectStore &store)
+{
+    auto all = store.obs().metrics.snapshot().values;
+    return {all.lower_bound("fault."), all.lower_bound("fault/")};
+}
 
 TestRig
 makeFusionRig()
@@ -252,7 +262,7 @@ TEST(FaultFuzzTest, SameSeedYieldsSameScheduleAndTrace)
 
     std::string traces[2];
     std::string schedules[2];
-    ObjectStore::FaultStats stats[2];
+    std::map<std::string, obs::SnapshotValue> faults[2];
     std::vector<double> latencies[2];
     for (int round = 0; round < 2; ++round) {
         TestRig rig = makeFusionRig();
@@ -270,11 +280,11 @@ TEST(FaultFuzzTest, SameSeedYieldsSameScheduleAndTrace)
             latencies[round].push_back(outcome.value().latencySeconds);
         }
         traces[round] = rig.faults->traceString();
-        stats[round] = rig.store->faultStats();
+        faults[round] = faultMetrics(*rig.store);
     }
     EXPECT_EQ(schedules[0], schedules[1]);
     EXPECT_EQ(traces[0], traces[1]);
-    EXPECT_TRUE(stats[0] == stats[1]);
+    EXPECT_TRUE(faults[0] == faults[1]);
     EXPECT_EQ(latencies[0], latencies[1]);
     // And the trace is non-trivial: events actually applied.
     EXPECT_NE(traces[0].find("crash"), std::string::npos);

@@ -116,6 +116,16 @@ struct ChunkCase {
     bool enableDict;
 };
 
+// Without a printer gtest shows the parameter as raw bytes: the name
+// pointer and the struct padding, which differ between builds and
+// runs, and ctest's discovered test names embed that text.
+void
+PrintTo(const ChunkCase &c, std::ostream *os)
+{
+    *os << physicalTypeName(c.type) << " cardinality=" << c.cardinality
+        << " dictionary=" << (c.enableDict ? "on" : "off");
+}
+
 class ChunkRoundTrip : public ::testing::TestWithParam<ChunkCase>
 {
 };

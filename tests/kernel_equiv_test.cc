@@ -6,14 +6,15 @@
  * kernels — must be bit-identical to their simple reference
  * implementations on every input, including unaligned lengths, zero
  * coefficients, NaN doubles, and empty columns. The thread pool must
- * leave all simulated-time query results and FaultStats unchanged for
- * any FUSION_THREADS value.
+ * leave all simulated-time query results and fault.* counters unchanged
+ * for any FUSION_THREADS value.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "common/random.h"
@@ -346,9 +347,18 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock)
     EXPECT_EQ(total.load(), 8 * 16);
 }
 
+/** The store's fault.* metrics: the robustness counters as one
+ *  comparable slice of its registry ('/' sorts right after '.'). */
+std::map<std::string, obs::SnapshotValue>
+faultMetrics(const store::ObjectStore &store)
+{
+    auto all = store.obs().metrics.snapshot().values;
+    return {all.lower_bound("fault."), all.lower_bound("fault/")};
+}
+
 struct DeterminismRun {
     std::vector<query::QueryResult> results;
-    store::ObjectStore::FaultStats faults;
+    std::map<std::string, obs::SnapshotValue> faults;
     double simSeconds = 0.0;
 };
 
@@ -402,14 +412,14 @@ runWorkload(size_t threads)
         FUSION_CHECK(outcome->isOk());
         run.results.push_back(outcome->value().result);
     }
-    run.faults = store.faultStats();
+    run.faults = faultMetrics(store);
     run.simSeconds = engine.now();
     ThreadPool::setSharedThreads(1);
     return run;
 }
 
 // Acceptance: repeated runs with FUSION_THREADS > 1 leave all
-// simulated-time query results and FaultStats counters bit-identical
+// simulated-time query results and fault.* counters bit-identical
 // to the single-threaded run.
 TEST(ThreadPoolTest, MultiThreadedStoreRunIsBitIdenticalToSerial)
 {

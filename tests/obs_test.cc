@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -689,12 +690,21 @@ TEST(TimeseriesTest, TelemetrySnapshotIsCanonicalJson)
 // counts, under an active crash/revive fault schedule.
 // ---------------------------------------------------------------------
 
+/** The store's fault.* metrics: the robustness counters as one
+ *  comparable slice of its registry ('/' sorts right after '.'). */
+std::map<std::string, obs::SnapshotValue>
+faultMetrics(const store::ObjectStore &store)
+{
+    auto all = store.obs().metrics.snapshot().values;
+    return {all.lower_bound("fault."), all.lower_bound("fault/")};
+}
+
 struct ObsRun {
     std::string traceJson;
     std::string metricsJson;
     std::string explainJson; // all queries' reports concatenated
     std::string timeseriesJson;
-    store::ObjectStore::FaultStats faults;
+    std::map<std::string, obs::SnapshotValue> faults;
 };
 
 ObsRun
@@ -768,7 +778,7 @@ runObservedWorkload(size_t threads, uint64_t cache_bytes = 0)
     run.traceJson = store.obs().tracer.toChromeJson("fusion");
     run.metricsJson = store.obs().metrics.snapshot().toJson();
     run.timeseriesJson = store.obs().telemetry.toJson(engine.now());
-    run.faults = store.faultStats();
+    run.faults = faultMetrics(store);
     ThreadPool::setSharedThreads(1);
     return run;
 }
@@ -788,7 +798,7 @@ TEST(ObsDeterminismTest, TraceMetricsExplainIdenticalAcrossThreadCounts)
               std::string::npos);
     EXPECT_NE(serial.traceJson.find("\"projection_stage\""),
               std::string::npos);
-    EXPECT_GT(serial.faults.readRetries, 0u);
+    EXPECT_GT(serial.faults.at("fault.read_retries").count, 0u);
     EXPECT_NE(serial.metricsJson.find("fault.read_retries"),
               std::string::npos);
     EXPECT_NE(serial.metricsJson.find("query.latency_seconds"),
@@ -821,8 +831,8 @@ TEST(ObsDeterminismTest, TraceMetricsExplainIdenticalAcrossThreadCounts)
     // The adaptive budget fails over instead of burning the full
     // fixed budget on every read to the crashed node: retries stay
     // well under the old maxReadRetries * timeouts product.
-    EXPECT_LT(serial.faults.readRetries,
-              3 * serial.faults.readTimeouts);
+    EXPECT_LT(serial.faults.at("fault.read_retries").count,
+              3 * serial.faults.at("fault.read_timeouts").count);
 
     // A dump written through the exporter is the same bytes.
     std::string path = ::testing::TempDir() + "obs_test_trace.json";
@@ -861,7 +871,7 @@ TEST(ObsDeterminismTest, CacheEnabledRunIdenticalAcrossThreadCounts)
               std::string::npos);
     EXPECT_NE(serial.metricsJson.find("cache.chunk.bytes"),
               std::string::npos);
-    EXPECT_GT(serial.faults.readRetries, 0u);
+    EXPECT_GT(serial.faults.at("fault.read_retries").count, 0u);
     EXPECT_TRUE(jsonBalanced(serial.traceJson));
     EXPECT_TRUE(jsonBalanced(serial.metricsJson));
 
@@ -915,29 +925,37 @@ TEST(OverheadGuardTest, DisabledTracingCostsUnderTwoPercent)
     };
 
     auto now = []() { return walltime::monotonicSeconds(); };
-    const int kIters = 24;
-    auto time_once = [&](auto &&pass) {
+    auto time_call = [&](auto &&pass) {
         double start = now();
-        for (int i = 0; i < kIters; ++i)
-            pass();
+        pass();
         return now() - start;
     };
 
-    // Warm both paths, then interleave trials and keep the best of
-    // each — the minimum is the noise-free estimate. Wall-clock noise
-    // (frequency scaling, CI neighbors) can still exceed the 2% bound
-    // in one measurement window, so keep the best ratio over a few
-    // independent attempts; the true overhead is a branch and one
-    // relaxed atomic per kernel call, far below the bound.
+    // Warm both paths, then time single kernel calls, alternating the
+    // two paths call by call (and which goes first), and keep the best
+    // of each — the minimum is the noise-free estimate. Whole windows
+    // of many calls let a slow stretch of the host (frequency scaling,
+    // CI neighbors) land on one path only, which swung the ratio by
+    // several percent; per-call pairs see the same host state, so both
+    // minima come from the same fast stretches. Keep the best ratio
+    // over a few independent attempts; the true overhead is a branch
+    // and one relaxed atomic per kernel call, far below the bound.
     plain_pass();
     instrumented_pass();
+    const int kPairs = 192;
     double ratio = 1e300;
     for (int attempt = 0; attempt < 3 && ratio > 1.02; ++attempt) {
         double best_plain = 1e300, best_instrumented = 1e300;
-        for (int trial = 0; trial < 8; ++trial) {
-            best_plain = std::min(best_plain, time_once(plain_pass));
-            best_instrumented =
-                std::min(best_instrumented, time_once(instrumented_pass));
+        for (int pair = 0; pair < kPairs; ++pair) {
+            if (pair & 1) {
+                best_instrumented =
+                    std::min(best_instrumented, time_call(instrumented_pass));
+                best_plain = std::min(best_plain, time_call(plain_pass));
+            } else {
+                best_plain = std::min(best_plain, time_call(plain_pass));
+                best_instrumented =
+                    std::min(best_instrumented, time_call(instrumented_pass));
+            }
         }
         ratio = std::min(ratio, best_instrumented / best_plain);
     }

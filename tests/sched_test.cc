@@ -249,6 +249,51 @@ TEST(SchedTest, BatchResultsMatchIsolatedExecution)
     }
 }
 
+TEST(SchedTest, OneQueryBatchMatchesSerialOutcomeExactly)
+{
+    // An isolated query is the one-consumer case of the shared engine:
+    // both paths run the store's one stage driver, so every outcome
+    // field — timing and resource accounting included — must agree
+    // bit for bit, not just the result.
+    Rig shared_rig = makeRig();
+    Rig solo_rig = makeRig();
+    auto q = query::parseQuery(
+        "SELECT l_comment, l_quantity FROM lineitem "
+        "WHERE l_extendedprice < 15000 AND l_discount < 0.05");
+    ASSERT_TRUE(q.isOk());
+
+    sched::SharedScanScheduler scheduler(*shared_rig.store);
+    auto batched = scheduler.runBatch({q.value()});
+    ASSERT_TRUE(batched.isOk());
+    ASSERT_EQ(batched.value().size(), 1u);
+    auto solo = solo_rig.store->query(q.value());
+    ASSERT_TRUE(solo.isOk());
+
+    const store::QueryOutcome &a = batched.value()[0];
+    const store::QueryOutcome &b = solo.value();
+    EXPECT_EQ(resultFingerprint(a.result), resultFingerprint(b.result));
+    EXPECT_EQ(a.latencySeconds, b.latencySeconds);
+    EXPECT_EQ(a.diskSeconds, b.diskSeconds);
+    EXPECT_EQ(a.cpuSeconds, b.cpuSeconds);
+    EXPECT_EQ(a.networkSeconds, b.networkSeconds);
+    EXPECT_EQ(a.networkBytes, b.networkBytes);
+    EXPECT_EQ(a.rowGroupsScanned, b.rowGroupsScanned);
+    EXPECT_EQ(a.rowGroupsSkipped, b.rowGroupsSkipped);
+    EXPECT_EQ(a.filterChunkFetches, b.filterChunkFetches);
+    EXPECT_EQ(a.filterChunkPushdowns, b.filterChunkPushdowns);
+    EXPECT_EQ(a.projectionPushdowns, b.projectionPushdowns);
+    EXPECT_EQ(a.projectionFetches, b.projectionFetches);
+    EXPECT_EQ(a.filterChunkCached, b.filterChunkCached);
+    EXPECT_EQ(a.projectionCachedLocal, b.projectionCachedLocal);
+    EXPECT_EQ(a.pushdownFallbacks, b.pushdownFallbacks);
+    EXPECT_EQ(a.parityReconstructions, b.parityReconstructions);
+    EXPECT_EQ(a.readRetries, b.readRetries);
+    EXPECT_EQ(a.deltaSegmentsScanned, b.deltaSegmentsScanned);
+    EXPECT_GT(a.filterChunkPushdowns + a.projectionPushdowns, 0u);
+    EXPECT_EQ(totalWireBytes(*shared_rig.store),
+              totalWireBytes(*solo_rig.store));
+}
+
 TEST(SchedTest, OverlappingBatchSavesWireBytesAndLatency)
 {
     Rig shared_rig = makeRig();

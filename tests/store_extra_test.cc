@@ -443,6 +443,33 @@ TEST(PutAsyncTest, SimulatedWritePathCompletesAndQueues)
         EXPECT_EQ(back.value(), file.value().bytes);
     }
     EXPECT_FALSE(store.contains("missing"));
+
+    // appendAsync takes its timing from the same DES fan-out: two
+    // concurrent appends queue behind each other on the client NIC.
+    format::Table rows = workload::makeLineitemTable(200, 43);
+    std::vector<AppendResult> appends;
+    for (int i = 0; i < 2; ++i)
+        store.appendAsync("a", rows, [&](Result<AppendResult> r) {
+            ASSERT_TRUE(r.isOk());
+            appends.push_back(r.value());
+        });
+    cluster.engine().run();
+    ASSERT_EQ(appends.size(), 2u);
+    for (const auto &r : appends)
+        EXPECT_GT(r.simulatedAppendSeconds, 0.0);
+    EXPECT_GT(std::max(appends[0].simulatedAppendSeconds,
+                       appends[1].simulatedAppendSeconds),
+              std::min(appends[0].simulatedAppendSeconds,
+                       appends[1].simulatedAppendSeconds));
+
+    // The synchronous forms run in one simulated instant; only the DES
+    // measures write time.
+    auto put = store.put("c", file.value().bytes);
+    ASSERT_TRUE(put.isOk());
+    EXPECT_EQ(put.value().simulatedPutSeconds, 0.0);
+    auto appended = store.append("c", rows);
+    ASSERT_TRUE(appended.isOk());
+    EXPECT_EQ(appended.value().simulatedAppendSeconds, 0.0);
     bool error_seen = false;
     store.putAsync("bad", Bytes{}, [&](Result<PutResult> r) {
         error_seen = !r.isOk();

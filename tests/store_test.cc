@@ -8,7 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "common/random.h"
 #include "store/baseline_store.h"
@@ -250,6 +252,47 @@ TEST(QueryCorrectnessTest, MatchesReferenceEvaluation)
     EXPECT_EQ(outcome.value().result.rowsMatched, expect);
     ASSERT_EQ(outcome.value().result.columns.size(), 1u);
     EXPECT_EQ(outcome.value().result.columns[0].values.size(), expect);
+}
+
+TEST(QueryCorrectnessTest, NearbyDoubleLiteralsNeverShareMemoEntries)
+{
+    // Two literals that agree to six significant digits but straddle a
+    // stored price. Query text keys the plan/bitmap memo caches and the
+    // pushdown share keys, so a lossy literal print would hand the
+    // second query the first one's answer.
+    const size_t rows = 4000;
+    format::Table table = workload::makeLineitemTable(rows, 7);
+    const format::ColumnData &prices =
+        table.column(workload::kExtendedPrice);
+    double lo = 0.0, hi = 0.0;
+    for (size_t i = 0; i < prices.size() && lo == hi; ++i) {
+        const double v = prices.valueAt(i).numeric();
+        char a[64], b[64];
+        std::snprintf(a, sizeof(a), "%g", v - 0.004);
+        std::snprintf(b, sizeof(b), "%g", v + 0.004);
+        if (std::string(a) == b) {
+            lo = v - 0.004;
+            hi = v + 0.004;
+        }
+    }
+    ASSERT_NE(lo, hi) << "no price straddled by a colliding pair";
+    ASSERT_NE(referenceCount(table, workload::kExtendedPrice, lo),
+              referenceCount(table, workload::kExtendedPrice, hi));
+
+    TestRig rig = makeRig(true);
+    ASSERT_TRUE(rig.store->put("lineitem", lineitemBytes(rows, 7)).isOk());
+    for (double literal : {lo, hi}) {
+        char sql[128];
+        std::snprintf(sql, sizeof(sql),
+                      "SELECT l_orderkey FROM lineitem "
+                      "WHERE l_extendedprice < %.17g",
+                      literal);
+        auto outcome = rig.store->querySql(sql);
+        ASSERT_TRUE(outcome.isOk()) << outcome.status().toString();
+        EXPECT_EQ(outcome.value().result.rowsMatched,
+                  referenceCount(table, workload::kExtendedPrice, literal))
+            << sql;
+    }
 }
 
 TEST(QueryCorrectnessTest, BaselineAndFusionAgree)
