@@ -19,14 +19,17 @@
  * multiplier x overlap. Per cell it reports the sustained (peak and
  * mean) in-flight query count, window dedup rate vs the closed batch,
  * wire bytes vs serial, and p50/p99/mean sojourn against an analytic
- * serial baseline (c_i = max(arrival_i, c_{i-1}) + isolated service),
+ * serial baseline (c_i = max(arrival_i, c_{i-1}) + isolated service)
+ * plus the DES cost of the run (events processed and host events/s),
  * and enforces the admission-window acceptance bound: at 8x the
  * closed-batch rate the window must sustain >= 1000 in-flight
  * queries, hold its dedup rate within 10% of the closed batch, and
  * deliver a lower mean sojourn than serial execution.
  *
  * Everything runs in simulation, so every number is deterministic and
- * the JSON output can be gated byte-for-byte-stable in CI. Writes
+ * the JSON output can be gated byte-for-byte-stable in CI. The one
+ * host-time figure, the open-loop table's host events/s, is printed
+ * only and kept out of the JSON metrics. Writes
  * BENCH_shared_scans.json (or BENCH_shared_scans_openloop.json) and,
  * with --check, exits nonzero when any metric regressed more than
  * --tolerance vs the checked-in baseline or when an acceptance bound
@@ -48,6 +51,7 @@
 
 #include "benchutil/harness.h"
 #include "common/random.h"
+#include "common/walltime.h"
 #include "sched/scheduler.h"
 #include "sim/cluster.h"
 #include "store/fusion_store.h"
@@ -175,6 +179,10 @@ struct OpenLoopCell {
     double p50Ms = 0.0, p99Ms = 0.0, meanMs = 0.0;
     double serialMeanMs = 0.0; // analytic serial mean sojourn
     double sojournGain = 0.0;  // serial mean / open mean
+    // DES cost of the open-loop run: events processed (deterministic)
+    // and host events per second (host-dependent, table only).
+    uint64_t events = 0;
+    double hostEventsPerSec = 0.0;
 };
 
 /**
@@ -247,6 +255,8 @@ runOpenLoopCell(size_t rows, size_t n, size_t mult, double overlap)
     sim::SimEngine &engine = rig.store->cluster().engine();
     size_t peak = 0;
     double inflight_sum = 0.0;
+    const uint64_t events_before = engine.eventsProcessed();
+    const double host_start = walltime::monotonicSeconds();
     for (size_t i = 0; i < n; ++i) {
         engine.scheduleAt(arrival[i], [&, i] {
             scheduler.submit(pool[poolIndexFor(i, overlap)], i);
@@ -256,6 +266,10 @@ runOpenLoopCell(size_t rows, size_t n, size_t mult, double overlap)
         });
     }
     scheduler.awaitAll();
+    const double host_seconds = walltime::monotonicSeconds() - host_start;
+    cell.events = engine.eventsProcessed() - events_before;
+    cell.hostEventsPerSec =
+        host_seconds > 0.0 ? double(cell.events) / host_seconds : 0.0;
     cell.peakInflight = peak;
     cell.meanInflight = inflight_sum / double(n);
     cell.dedupOpen = scheduler.windowStats().dedupRate();
@@ -310,7 +324,8 @@ runOpenLoopSweep(bool quick,
     benchutil::TablePrinter table(
         {"rate", "overlap", "arrivals", "peak infl", "mean infl",
          "dedup closed", "dedup open", "open wire MB", "p50 ms",
-         "p99 ms", "mean ms", "serial mean ms", "gain"});
+         "p99 ms", "mean ms", "serial mean ms", "gain", "DES events",
+         "host Mev/s"});
 
     int failures = 0;
     for (size_t mult : mults) {
@@ -343,7 +358,11 @@ runOpenLoopSweep(bool quick,
                           benchutil::fmt("%.2f", cell.p99Ms),
                           benchutil::fmt("%.2f", cell.meanMs),
                           benchutil::fmt("%.2f", cell.serialMeanMs),
-                          benchutil::fmt("%.2f", cell.sojournGain)});
+                          benchutil::fmt("%.2f", cell.sojournGain),
+                          benchutil::fmt("%llu",
+                                         (unsigned long long)cell.events),
+                          benchutil::fmt("%.2f",
+                                         cell.hostEventsPerSec / 1e6)});
 
             // Acceptance: at 8x the closed-batch arrival rate the
             // window must sustain >= 1000 in-flight queries, keep its

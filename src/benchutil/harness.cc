@@ -176,6 +176,8 @@ runClosedLoop(store::ObjectStore &store, const RunConfig &config,
         engine.run();
     }
 
+    // The clock stands at the last event: CPU occupancy charged with no
+    // event (a transfer's network-stack work) does not extend it.
     stats.wallSimSeconds = engine.now() - wall_start;
     stats.networkBytes =
         store.cluster().totalNetworkBytes() - traffic_start;

@@ -308,8 +308,9 @@ SharedScanScheduler::attachEntry(const std::string &key)
     entry->key = key;
     entry->consumers = 1;
     entry->createdSeconds = store_.cluster().engine().now();
-    entry->windowSpan = store_.obs().tracer.beginSpan(
-        "admission_window", "\"key\": \"" + key + "\"");
+    if (store_.obs().tracer.enabled())
+        entry->windowSpan = store_.obs().tracer.beginSpan(
+            "admission_window", "\"key\": \"" + key + "\"");
     execWindow_.emplace(key, entry);
     return entry;
 }
@@ -495,8 +496,10 @@ SharedScanScheduler::demand(const std::shared_ptr<PendingQuery> &pq,
                             : task.coordCpuWork;
     plan.outcome.cpuSeconds +=
         coord_work / cluster.config().node.cpuRate;
-    uint64_t wait_span = tracer.beginSpan(
-        "sched_wait", "\"key\": \"" + task.shareKey + "\"");
+    uint64_t wait_span = 0;
+    if (tracer.enabled())
+        wait_span = tracer.beginSpan(
+            "sched_wait", "\"key\": \"" + task.shareKey + "\"");
     sim::StorageNode *coord = &cluster.node(coordinator);
     const double demanded = cluster.engine().now();
     auto complete = [this, coord, coord_work, join, wait_span,

@@ -53,12 +53,13 @@ Cluster::transfer(StorageNode &src, StorageNode &dst, uint64_t bytes,
 
     // Network-stack CPU: both endpoints burn cores proportionally to
     // the bytes they push/pull. Charged as occupancy (it contends with
-    // decode work) without serializing the transfer itself.
+    // decode work) without serializing the transfer itself, and with
+    // no completion event: nothing waits on it.
     double stack_work =
         static_cast<double>(bytes) * config_.node.networkCpuFactor;
     if (stack_work > 0.0) {
-        src.cpu().acquire(stack_work, [] {});
-        dst.cpu().acquire(stack_work, [] {});
+        src.cpu().charge(stack_work);
+        dst.cpu().charge(stack_work);
     }
 
     double wire_latency = config_.node.rpcLatency;

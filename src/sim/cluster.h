@@ -59,7 +59,9 @@ class Cluster
      * Simulates sending `bytes` from `src` to `dst`: queues on the
      * source's egress NIC, crosses the wire (pure latency, no
      * occupancy), queues on the destination's ingress NIC, then calls
-     * `done`. Counts toward total network traffic.
+     * `done`. Both endpoints' CPUs are charged network-stack work as
+     * occupancy (SimResource::charge). Three events: egress done, wire
+     * latency, ingress done. Counts toward total network traffic.
      */
     void transfer(StorageNode &src, StorageNode &dst, uint64_t bytes,
                   std::function<void()> done);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/status.h"
@@ -22,22 +21,30 @@ using SimTime = double;
 
 /**
  * A time-ordered event queue with a current-time cursor. Events
- * scheduled at equal times fire in scheduling order (stable).
+ * scheduled at equal times fire in scheduling order (stable): the
+ * queue orders by (time, seq), seq being the scheduling count.
+ *
+ * Storage: callbacks live in a slab of reusable slots and a binary
+ * min-heap orders small (time, seq, slot) keys, so sifting never moves
+ * a callback. A callback is moved into its slot once when scheduled
+ * and moved out once before it runs; it is never copied.
  */
 class SimEngine
 {
   public:
+    using Callback = std::function<void()>;
+
     SimTime now() const { return now_; }
 
     /** Schedules `fn` to run `delay` seconds from now (delay >= 0). */
     void
-    schedule(SimTime delay, std::function<void()> fn)
+    schedule(SimTime delay, Callback fn)
     {
         scheduleAt(now_ + delay, std::move(fn));
     }
 
     /** Schedules `fn` at an absolute time >= now(). */
-    void scheduleAt(SimTime when, std::function<void()> fn);
+    void scheduleAt(SimTime when, Callback fn);
 
     /**
      * Processes the single earliest event and advances the clock to
@@ -56,22 +63,27 @@ class SimEngine
     uint64_t eventsProcessed() const { return eventsProcessed_; }
 
   private:
-    struct Event {
+    struct Key {
         SimTime time;
         uint64_t seq;
-        std::function<void()> fn;
-
-        bool
-        operator>(const Event &other) const
-        {
-            if (time != other.time)
-                return time > other.time;
-            return seq > other.seq;
-        }
+        uint32_t slot; // index into slab_
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        queue_;
+    /** Heap order: true when `a` fires after `b`. */
+    static bool
+    later(const Key &a, const Key &b)
+    {
+        if (a.time != b.time)
+            return a.time > b.time;
+        return a.seq > b.seq;
+    }
+
+    /** Pops the earliest event, advances the clock and runs it. */
+    void popAndRun();
+
+    std::vector<Key> heap_;
+    std::vector<Callback> slab_;
+    std::vector<uint32_t> freeSlots_;
     SimTime now_ = 0.0;
     uint64_t nextSeq_ = 0;
     uint64_t eventsProcessed_ = 0;

@@ -11,9 +11,8 @@ SimResource::SimResource(SimEngine &engine, std::string name, double rate,
     slotFree_.assign(slots, 0.0);
 }
 
-void
-SimResource::acquire(double work, double extra_latency,
-                     std::function<void()> done)
+SimTime
+SimResource::book(double work, double extra_latency)
 {
     FUSION_CHECK(work >= 0.0 && extra_latency >= 0.0);
 
@@ -27,8 +26,20 @@ SimResource::acquire(double work, double extra_latency,
     ++requests_;
     workServed_ += work;
     busySeconds_ += service;
+    return end;
+}
 
-    engine_.scheduleAt(end, std::move(done));
+void
+SimResource::acquire(double work, double extra_latency,
+                     std::function<void()> done)
+{
+    engine_.scheduleAt(book(work, extra_latency), std::move(done));
+}
+
+void
+SimResource::charge(double work)
+{
+    book(work, 0.0);
 }
 
 } // namespace fusion::sim

@@ -45,6 +45,15 @@ class SimResource
         acquire(work, 0.0, std::move(done));
     }
 
+    /**
+     * Occupancy-only request: books `work` units on the earliest-free
+     * server and counts them in the statistics exactly as acquire()
+     * does, but schedules no completion event. Later requests still
+     * queue behind it, so contention is unchanged; use it for work
+     * nobody waits on (the network-stack CPU of a transfer).
+     */
+    void charge(double work);
+
     const std::string &name() const { return name_; }
     double rate() const { return rate_; }
 
@@ -83,6 +92,9 @@ class SimResource
     }
 
   private:
+    /** Books a request on the earliest-free server; returns its end. */
+    SimTime book(double work, double extra_latency);
+
     SimEngine &engine_;
     std::string name_;
     double rate_;

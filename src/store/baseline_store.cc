@@ -17,17 +17,18 @@ Result<ObjectStore::QueryPlan>
 BaselineStore::planQuery(const ObjectManifest &manifest,
                          const query::Query &q)
 {
-    auto plane = executeDataPlane(manifest, q);
-    if (!plane.isOk())
-        return plane.status();
+    auto plane_r = executeDataPlane(manifest, q);
+    if (!plane_r.isOk())
+        return plane_r.status();
+    const DataPlane &plane = *plane_r.value();
 
     const format::FileMetadata &meta = manifest.fileMeta;
     const format::Schema &schema = meta.schema;
 
     QueryPlan plan;
     plan.coordinatorId = cluster_.coordinatorFor(manifest.name);
-    plan.outcome.result = plane.value().result;
-    plan.clientReplyBytes = plane.value().resultWireBytes;
+    plan.outcome.result = plane.result;
+    plan.clientReplyBytes = plane.resultWireBytes;
 
     // Distinct columns the query touches, filter columns first.
     std::vector<size_t> columns;
@@ -43,7 +44,7 @@ BaselineStore::planQuery(const ObjectManifest &manifest,
     // Single stage: fetch every needed chunk (in pieces, from wherever
     // the fixed-block layout scattered them) and evaluate locally.
     for (size_t rg = 0; rg < meta.numRowGroups(); ++rg) {
-        if (!plane.value().rowGroupBitmaps[rg].has_value()) {
+        if (!plane.rowGroupBitmaps[rg].has_value()) {
             ++plan.outcome.rowGroupsSkipped;
             continue;
         }

@@ -42,7 +42,7 @@ FusionStore::planQuery(const ObjectManifest &manifest,
     auto plane_r = executeDataPlane(manifest, q);
     if (!plane_r.isOk())
         return plane_r.status();
-    const DataPlane &plane = plane_r.value();
+    const DataPlane &plane = *plane_r.value();
 
     const format::FileMetadata &meta = manifest.fileMeta;
     const format::Schema &schema = meta.schema;

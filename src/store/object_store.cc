@@ -1397,7 +1397,7 @@ ObjectStore::prefetchDecodedChunks(
     return Status::ok();
 }
 
-Result<ObjectStore::DataPlane>
+Result<std::shared_ptr<const ObjectStore::DataPlane>>
 ObjectStore::executeDataPlane(const ObjectManifest &manifest,
                               const query::Query &q)
 {
@@ -1405,7 +1405,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
     auto cached = planCache_.find(cache_key);
     if (cached != planCache_.end()) {
         ins_.cachePlanHit->add(1);
-        return *cached->second;
+        return cached->second;
     }
     ins_.cachePlanMiss->add(1);
 
@@ -1583,7 +1583,7 @@ ObjectStore::executeDataPlane(const ObjectManifest &manifest,
 
     auto shared = std::make_shared<const DataPlane>(std::move(plane));
     planCache_.emplace(std::move(cache_key), shared);
-    return *shared;
+    return shared;
 }
 
 ObjectStore::ChunkPushdownState
@@ -1620,10 +1620,11 @@ ObjectStore::cacheLookupChunk(const ObjectManifest &manifest,
                                        manifest.shareName(), chunk_id);
     if (!chunkCache_.enabled())
         return out;
-    uint64_t span = obs_.tracer.beginSpan(
-        "cache_lookup",
-        "\"chunk\": " + std::to_string(chunk_id) + ", \"object\": \"" +
-            manifest.name + "\"");
+    uint64_t span = 0;
+    if (obs_.tracer.enabled())
+        span = obs_.tracer.beginSpan(
+            "cache_lookup", "\"chunk\": " + std::to_string(chunk_id) +
+                                ", \"object\": \"" + manifest.name + "\"");
     out.hit = chunkCache_.lookup(manifest.name, chunk_id) != nullptr;
     out.decoded =
         out.hit && chunkCache_.decoded(manifest.name, chunk_id) != nullptr;
@@ -1832,35 +1833,46 @@ ObjectStore::executeTask(const SimTask &task, size_t coordinator,
     // All DES callbacks run on the driver thread, so recording into the
     // tracer here is safe; the span covers the task's full simulated
     // lifetime (request, disk, node CPU, reply, coordinator CPU).
-    uint64_t span = obs_.tracer.beginSpan(
-        task.label, "\"node\": " + std::to_string(task.nodeId) +
-                        ", \"disk_bytes\": " +
-                        std::to_string(task.diskBytes) +
-                        ", \"reply_bytes\": " +
-                        std::to_string(task.replyBytes));
+    uint64_t span = 0;
+    if (obs_.tracer.enabled())
+        span = obs_.tracer.beginSpan(
+            task.label, "\"node\": " + std::to_string(task.nodeId) +
+                            ", \"disk_bytes\": " +
+                            std::to_string(task.diskBytes) +
+                            ", \"reply_bytes\": " +
+                            std::to_string(task.replyBytes));
 
-    auto node_work = [this, node, coord, task, join, seek, span]() {
-        node->disk().acquire(
-            static_cast<double>(task.diskBytes),
-            task.diskBytes ? seek : 0.0,
-            [this, node, coord, task, join, span]() {
-                node->cpu().acquire(task.nodeCpuWork, [this, node, coord,
-                                                       task, join, span]() {
-                    auto coord_work = [this, coord, task, join, span]() {
-                        coord->cpu().acquire(task.coordCpuWork,
-                                             [this, join, span]() {
-                                                 obs_.tracer.endSpan(span);
-                                                 join->signal();
-                                             });
-                    };
-                    if (node == coord) {
-                        coord_work();
-                    } else {
-                        cluster_.transfer(*node, *coord, task.replyBytes,
-                                          std::move(coord_work));
-                    }
-                });
-            });
+    // The stages are built last to first, each moved into the one
+    // before it: they capture the four scalars they use, never the task
+    // (its share key would be copied into every closure), and each runs
+    // exactly once, so the join is handed down by move.
+    const uint64_t disk_bytes = task.diskBytes;
+    const double node_cpu = task.nodeCpuWork;
+    const uint64_t reply_bytes = task.replyBytes;
+    const double coord_cpu = task.coordCpuWork;
+
+    auto coord_work = [this, coord, coord_cpu, span,
+                       join = std::move(join)]() mutable {
+        coord->cpu().acquire(coord_cpu,
+                             [this, span, join = std::move(join)]() {
+                                 obs_.tracer.endSpan(span);
+                                 join->signal();
+                             });
+    };
+    auto reply = [this, node, coord, reply_bytes,
+                  next = std::move(coord_work)]() mutable {
+        if (node == coord)
+            next();
+        else
+            cluster_.transfer(*node, *coord, reply_bytes, std::move(next));
+    };
+    auto node_compute = [node, node_cpu, next = std::move(reply)]() mutable {
+        node->cpu().acquire(node_cpu, std::move(next));
+    };
+    auto node_work = [node, disk_bytes, seek,
+                      next = std::move(node_compute)]() mutable {
+        node->disk().acquire(static_cast<double>(disk_bytes),
+                             disk_bytes ? seek : 0.0, std::move(next));
     };
 
     if (task.nodeId == coordinator) {
@@ -1881,11 +1893,12 @@ ObjectStore::runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
     // Stage span ids cross several DES callbacks; the array outlives
     // this frame via shared_ptr. [0]=query, [1]=filter, [2]=projection.
     auto spans = std::make_shared<std::array<uint64_t, 3>>();
-    (*spans)[0] = obs_.tracer.beginSpan(
-        "query", "\"filter_tasks\": " +
-                     std::to_string(plan->filterTasks.size()) +
-                     ", \"projection_tasks\": " +
-                     std::to_string(plan->projectionTasks.size()));
+    if (obs_.tracer.enabled())
+        (*spans)[0] = obs_.tracer.beginSpan(
+            "query", "\"filter_tasks\": " +
+                         std::to_string(plan->filterTasks.size()) +
+                         ", \"projection_tasks\": " +
+                         std::to_string(plan->projectionTasks.size()));
 
     auto reply = [this, plan, submit_seconds, spans,
                   done = std::move(done)]() {
@@ -1895,10 +1908,11 @@ ObjectStore::runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
         ins_.queryLatency->observe(out.latencySeconds);
         obs_.telemetry.window("query.latency_seconds")
             .observe(now, out.latencySeconds);
-        obs_.telemetry.flight().record(
-            now, "query",
-            "\"latency_seconds\": " +
-                obs::formatDouble(out.latencySeconds));
+        if (obs_.telemetry.flight().enabled())
+            obs_.telemetry.flight().record(
+                now, "query",
+                "\"latency_seconds\": " +
+                    obs::formatDouble(out.latencySeconds));
 
         const sim::NodeConfig &nc = cluster_.config().node;
         const uint64_t bytes =
@@ -1913,18 +1927,25 @@ ObjectStore::runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
         done();
     };
 
-    auto finish = [this, plan, client, coord, spans, reply]() {
+    // Each stage closure is moved into the next-outer one and from
+    // there into the engine: every stage runs once, so none is copied.
+    auto finish = [this, plan, client, coord, spans,
+                   reply = std::move(reply)]() mutable {
         obs_.tracer.endSpan((*spans)[2]);
-        cluster_.transfer(*coord, *client, plan->clientReplyBytes, reply);
+        cluster_.transfer(*coord, *client, plan->clientReplyBytes,
+                          std::move(reply));
     };
 
-    auto projection_stage = [this, plan, demand, finish, coord, spans]() {
+    auto projection_stage = [this, plan, demand, coord, spans,
+                             finish = std::move(finish)]() mutable {
         obs_.tracer.endSpan((*spans)[1]);
         (*spans)[2] = obs_.tracer.beginSpan("projection_stage");
         coord->cpu().acquire(
-            plan->interStageCoordWork, [this, plan, demand, finish]() {
+            plan->interStageCoordWork,
+            [this, plan, demand = std::move(demand),
+             finish = std::move(finish)]() mutable {
                 auto join = std::make_shared<sim::Join>(
-                    plan->projectionTasks.size(), finish);
+                    plan->projectionTasks.size(), std::move(finish));
                 for (size_t ti = 0; ti < plan->projectionTasks.size(); ++ti)
                     demand(true, ti, join);
                 // Charged after the projection demands: the outcome's
@@ -1936,26 +1957,29 @@ ObjectStore::runPlan(std::shared_ptr<QueryPlan> plan, double submit_seconds,
             });
     };
 
-    auto filter_stage = [this, plan, demand, projection_stage, spans]() {
+    auto filter_stage = [this, plan, demand = std::move(demand), spans,
+                         projection_stage =
+                             std::move(projection_stage)]() mutable {
         (*spans)[1] = obs_.tracer.beginSpan("filter_stage");
         auto join = std::make_shared<sim::Join>(plan->filterTasks.size(),
-                                                projection_stage);
+                                                std::move(projection_stage));
         for (size_t ti = 0; ti < plan->filterTasks.size(); ++ti)
             demand(false, ti, join);
     };
 
     // Retry backoff against faulted nodes delays the whole plan (the
     // coordinator waited before falling back to reconstruction).
-    auto start_plan = [this, plan, filter_stage]() {
+    auto start_plan = [this, plan,
+                       filter_stage = std::move(filter_stage)]() mutable {
         if (plan->extraLatencySeconds > 0.0)
             cluster_.engine().schedule(plan->extraLatencySeconds,
-                                       filter_stage);
+                                       std::move(filter_stage));
         else
             filter_stage();
     };
 
     cluster_.transfer(*client, *coord, options_.clientRequestBytes,
-                      start_plan);
+                      std::move(start_plan));
 }
 
 Result<std::shared_ptr<ObjectStore::QueryPlan>>

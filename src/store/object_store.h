@@ -549,9 +549,10 @@ class ObjectStore : public lifecycle::CompactionHost
         uint64_t resultWireBytes = 0;
     };
 
-    /** Runs filters, projections and aggregates on real data. */
-    Result<DataPlane> executeDataPlane(const ObjectManifest &manifest,
-                                       const query::Query &q);
+    /** Runs filters, projections and aggregates on real data. Returns
+     *  the plan memo's own entry, shared rather than copied. */
+    Result<std::shared_ptr<const DataPlane>>
+    executeDataPlane(const ObjectManifest &manifest, const query::Query &q);
 
     /** Expands `SELECT *` and validates column names against a schema. */
     Result<query::Query> resolveQuery(const query::Query &q,

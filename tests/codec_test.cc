@@ -81,6 +81,15 @@ struct RleCase {
     int width;
 };
 
+// Without a printer gtest shows the parameter as raw bytes, including
+// the name pointer, and ctest's discovered test names embed that text,
+// so they would change with every relink.
+void
+PrintTo(const RleCase &c, std::ostream *os)
+{
+    *os << c.values.size() << " values width=" << c.width;
+}
+
 class RleRoundTrip : public ::testing::TestWithParam<RleCase>
 {
 };
@@ -192,6 +201,13 @@ struct SnappyCase {
     const char *name;
     Bytes input;
 };
+
+// Named printer for stable ctest names (see RleCase).
+void
+PrintTo(const SnappyCase &c, std::ostream *os)
+{
+    *os << c.input.size() << " bytes";
+}
 
 class SnappyRoundTrip : public ::testing::TestWithParam<SnappyCase>
 {

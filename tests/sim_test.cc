@@ -1,7 +1,9 @@
 /**
  * @file
- * Unit tests for src/sim: event ordering, queued resources (single and
- * multi-server), joins, cluster transfers and utilization accounting.
+ * Unit tests for src/sim: event ordering (against a reference (time,
+ * seq) model), callback ownership, queued resources (single and
+ * multi-server, occupancy charges), joins, cluster transfers and
+ * utilization accounting.
  */
 #include <gtest/gtest.h>
 
@@ -9,8 +11,10 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
 #include "sim/node.h"
@@ -69,6 +73,114 @@ TEST(SimEngineTest, RunUntilStopsAtDeadline)
     EXPECT_DOUBLE_EQ(engine.now(), 2.0);
     engine.run();
     EXPECT_EQ(fired, 2);
+}
+
+// An event that schedules two children from inside its own run, down
+// to `depth` levels, and counts every copy made of it.
+struct CopyCountingEvent {
+    SimEngine *engine;
+    int *copies;
+    int *fired;
+    int depth;
+
+    CopyCountingEvent(SimEngine *e, int *c, int *f, int d)
+        : engine(e), copies(c), fired(f), depth(d)
+    {
+    }
+    CopyCountingEvent(const CopyCountingEvent &other)
+        : engine(other.engine), copies(other.copies), fired(other.fired),
+          depth(other.depth)
+    {
+        ++*copies;
+    }
+    CopyCountingEvent(CopyCountingEvent &&) noexcept = default;
+
+    void
+    operator()() const
+    {
+        ++*fired;
+        if (depth == 0)
+            return;
+        engine->schedule(0.5, CopyCountingEvent(engine, copies, fired,
+                                                depth - 1));
+        engine->schedule(0.0, CopyCountingEvent(engine, copies, fired,
+                                                depth - 1));
+    }
+};
+
+TEST(SimEngineTest, CallbacksAreNeverCopiedAfterScheduling)
+{
+    SimEngine engine;
+    int copies = 0;
+    int fired = 0;
+    // 64 roots of depth 6: 64 * (2^7 - 1) events. The slab and the heap
+    // both grow and slots are reused while callbacks schedule more.
+    for (int i = 0; i < 64; ++i)
+        engine.scheduleAt(0.25 * (i % 8),
+                          CopyCountingEvent(&engine, &copies, &fired, 6));
+    engine.run();
+    EXPECT_EQ(fired, 64 * 127);
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(engine.eventsProcessed(), uint64_t(64 * 127));
+}
+
+TEST(SimEngineTest, RandomNestedSchedulingMatchesReferenceOrder)
+{
+    // Reference model: the pending set ordered by (time, scheduling
+    // order). Every fired event must be its minimum.
+    using Key = std::pair<SimTime, uint64_t>;
+    const uint64_t kTotal = 10000;
+    SimEngine engine;
+    Rng rng(20260917);
+    std::set<Key> pending;
+    uint64_t scheduled = 0;
+    uint64_t fired = 0;
+    uint64_t mismatches = 0;
+    bool deadline_broken = false;
+    SimTime deadline = -1.0; // set while runUntil is running
+
+    // Quantized times make ties common; delays of 0 tie with now().
+    std::function<void(SimTime)> add = [&](SimTime when) {
+        Key key{when, scheduled++};
+        pending.insert(key);
+        engine.scheduleAt(when, [&, key] {
+            ++fired;
+            if (pending.empty() || *pending.begin() != key ||
+                engine.now() != key.first)
+                ++mismatches;
+            if (deadline >= 0.0 && key.first > deadline)
+                deadline_broken = true;
+            pending.erase(key);
+            int children = static_cast<int>(rng.uniformInt(0, 2));
+            for (int c = 0; c < children && scheduled < kTotal; ++c)
+                add(engine.now() + 0.5 * static_cast<double>(
+                                          rng.uniformInt(0, 3)));
+        });
+    };
+    for (int i = 0; i < 2000; ++i)
+        add(0.5 * static_cast<double>(rng.uniformInt(0, 40)));
+
+    deadline = 10.0;
+    engine.runUntil(deadline);
+    deadline = -1.0;
+    EXPECT_FALSE(deadline_broken);
+    EXPECT_DOUBLE_EQ(engine.now(), 10.0);
+    EXPECT_GT(fired, 0u);
+    // Nothing at or before the deadline is left; everything later is
+    // still queued (run() below fires all of it).
+    ASSERT_FALSE(pending.empty());
+    EXPECT_GT(pending.begin()->first, 10.0);
+    EXPECT_EQ(engine.eventsProcessed(), fired);
+
+    // Top up to the full count from outside any event, then drain.
+    while (scheduled < kTotal)
+        add(engine.now() + 0.5 * static_cast<double>(rng.uniformInt(0, 20)));
+    engine.run();
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(fired, kTotal);
+    EXPECT_TRUE(pending.empty());
+    EXPECT_EQ(engine.eventsProcessed(), kTotal);
+    EXPECT_FALSE(engine.step());
 }
 
 TEST(SimResourceTest, SingleServerSerializesRequests)
@@ -139,6 +251,64 @@ TEST(SimResourceTest, UtilizationFraction)
     EXPECT_DOUBLE_EQ(resource.utilization(engine.now()), 0.25);
 }
 
+TEST(SimResourceTest, ChargeOccupiesSlotWithoutEvent)
+{
+    SimEngine engine;
+    SimResource resource(engine, "cpu", 100.0);
+    resource.charge(100.0); // occupies the server for [0, 1]
+    EXPECT_FALSE(engine.step()); // and queued no event
+    EXPECT_EQ(resource.requestCount(), 1u);
+    EXPECT_DOUBLE_EQ(resource.busySeconds(), 1.0);
+    EXPECT_DOUBLE_EQ(resource.workServed(), 100.0);
+
+    double done_at = -1;
+    resource.acquire(50.0, [&] { done_at = engine.now(); });
+    engine.run();
+    // The acquire queued behind the charge; only it produced an event.
+    EXPECT_DOUBLE_EQ(done_at, 1.5);
+    EXPECT_EQ(engine.eventsProcessed(), 1u);
+    EXPECT_EQ(resource.requestCount(), 2u);
+    EXPECT_DOUBLE_EQ(resource.busySeconds(), 1.5);
+    EXPECT_DOUBLE_EQ(resource.workServed(), 150.0);
+}
+
+TEST(SimResourceTest, ChargeTimesLikeAnAcquireNobodyWaitsOn)
+{
+    // The same request stream on two 2-server resources: one books its
+    // odd requests with charge(), the other with acquire(..., [] {}).
+    // Every completion the two report must agree.
+    SimEngine charged_engine, acquired_engine;
+    SimResource charged(charged_engine, "cpu", 100.0, 2);
+    SimResource acquired(acquired_engine, "cpu", 100.0, 2);
+    std::vector<double> charged_done, acquired_done;
+    Rng rng(7);
+    for (int i = 0; i < 200; ++i) {
+        double work = static_cast<double>(rng.uniformInt(0, 300));
+        double gap = 0.25 * static_cast<double>(rng.uniformInt(0, 4));
+        if (i % 2 == 1) {
+            charged.charge(work);
+            acquired.acquire(work, [] {});
+        } else {
+            charged.acquire(work, [&] {
+                charged_done.push_back(charged_engine.now());
+            });
+            acquired.acquire(work, [&] {
+                acquired_done.push_back(acquired_engine.now());
+            });
+        }
+        charged_engine.runUntil(charged_engine.now() + gap);
+        acquired_engine.runUntil(acquired_engine.now() + gap);
+    }
+    charged_engine.run();
+    acquired_engine.run();
+    EXPECT_EQ(charged_done, acquired_done);
+    EXPECT_EQ(charged_done.size(), 100u);
+    EXPECT_EQ(charged.requestCount(), acquired.requestCount());
+    EXPECT_EQ(charged.busySeconds(), acquired.busySeconds());
+    EXPECT_EQ(charged.workServed(), acquired.workServed());
+    EXPECT_EQ(charged_engine.eventsProcessed(), 100u);
+}
+
 TEST(JoinTest, FiresAfterAllSignals)
 {
     bool fired = false;
@@ -172,6 +342,14 @@ TEST(ClusterTest, TransferTimingAndTraffic)
     // Egress 0.5 s + wire 0.1 s + ingress 0.5 s.
     EXPECT_NEAR(done_at, 1.1, 1e-9);
     EXPECT_EQ(cluster.totalNetworkBytes(), 500u);
+    // Three events (egress, wire, ingress); the network-stack CPU of
+    // both endpoints is charged as occupancy with no event.
+    EXPECT_EQ(cluster.engine().eventsProcessed(), 3u);
+    EXPECT_EQ(cluster.node(0).cpu().requestCount(), 1u);
+    EXPECT_EQ(cluster.node(1).cpu().requestCount(), 1u);
+    EXPECT_GT(cluster.node(0).cpu().busySeconds(), 0.0);
+    EXPECT_EQ(cluster.node(0).cpu().busySeconds(),
+              cluster.node(1).cpu().busySeconds());
 }
 
 TEST(ClusterTest, ConcurrentTransfersShareNics)
